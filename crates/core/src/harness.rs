@@ -234,8 +234,9 @@ impl StorageSystem {
         sim
     }
 
-    /// The same deployment on OS threads: honest objects on one thread
-    /// each, with an optional per-envelope service jitter. Drive the
+    /// The same deployment on OS threads: honest objects served by the
+    /// in-process object host's fixed executor pool, with an optional
+    /// per-envelope service jitter. Drive the
     /// automata from [`StorageSystem::write_client`] /
     /// [`StorageSystem::read_client`] over it with
     /// [`crate::driver::drive_batch`] — the identical protocol code and op

@@ -53,7 +53,9 @@ mod router;
 mod sharded;
 
 pub use router::ShardRouter;
-pub use sharded::{KvHandle, KvOpId, KvOutput, ShardedKvStore, StoreConfig, DEFAULT_DEPTH};
+pub use sharded::{
+    restart_from_disk, KvHandle, KvOpId, KvOutput, ShardedKvStore, StoreConfig, DEFAULT_DEPTH,
+};
 
 use rastor_common::{ClusterConfig, Error, ObjectId, Result, Value};
 
@@ -99,7 +101,7 @@ impl KvStore {
 
     /// Crash a storage object (at most `t` may be crashed or corrupted for
     /// operations to keep completing).
-    pub fn crash_object(&mut self, id: ObjectId) {
+    pub fn crash_object(&self, id: ObjectId) {
         self.store.crash_object(0, id);
     }
 

@@ -142,12 +142,11 @@ impl StoreConfig {
 }
 
 /// The substrate one shard's traffic runs over: the store no longer cares
-/// whether a shard is a set of object threads in this process or a socket
+/// whether a shard is a set of objects hosted in this process or a socket
 /// connection to objects across a network.
 enum Backend {
-    /// An in-process cluster of object threads, spawned by this store —
-    /// supports local fault injection via
-    /// [`ShardedKvStore::crash_object`].
+    /// An in-process cluster, spawned by this store — supports local
+    /// fault injection via [`ShardedKvStore::crash_object`].
     Local(ThreadCluster<Req, Rep>),
     /// A remote cluster reached through any [`Transport`] (e.g. a
     /// socket-backed `rastor_net` cluster, possibly through a chaos
@@ -172,9 +171,9 @@ impl Transport<Req, Rep> for Backend {
 /// One shard: an independent `3t + 1` cluster plus the key-id directory
 /// for the keys routed here.
 struct Shard {
-    /// The cluster substrate, behind a `RwLock` so `crash_object` (write)
-    /// can coexist with in-flight operations (read).
-    cluster: RwLock<Backend>,
+    /// The cluster substrate. Crash and restart act on it through `&self`,
+    /// so fault injection never waits for a handle's in-flight operations.
+    cluster: Backend,
     /// key → dense per-shard key id (allocates register groups). Read-
     /// mostly: only the first put of a key takes the write lock.
     keys: RwLock<HashMap<String, u32>>,
@@ -275,9 +274,7 @@ impl ShardedKvStore {
                     .collect::<Result<Vec<_>>>()?;
                 let (keys, dir_log) = open_key_directory(shard_durability.as_ref())?;
                 Ok(Shard {
-                    cluster: RwLock::new(Backend::Local(ThreadCluster::spawn(
-                        behaviors, cfg.jitter,
-                    ))),
+                    cluster: Backend::Local(ThreadCluster::spawn(behaviors, cfg.jitter)),
                     keys: RwLock::new(keys),
                     dir_log,
                 })
@@ -342,7 +339,7 @@ impl ShardedKvStore {
             .map(|(s, transport)| {
                 let (keys, dir_log) = open_key_directory(durability.for_shard(s).as_ref())?;
                 Ok(Shard {
-                    cluster: RwLock::new(Backend::Remote(transport)),
+                    cluster: Backend::Remote(transport),
                     keys: RwLock::new(keys),
                     dir_log,
                 })
@@ -441,8 +438,9 @@ impl ShardedKvStore {
     }
 
     /// Crash one object of one **locally spawned** shard (at most `t` per
-    /// shard for that shard to keep completing operations). Blocks until
-    /// in-flight operations on the shard finish.
+    /// shard for that shard to keep completing operations). Waits only
+    /// for the envelope the object is processing, never for operations
+    /// in flight on handles.
     ///
     /// # Panics
     ///
@@ -451,11 +449,7 @@ impl ShardedKvStore {
     /// injected at its server (or its link's chaos proxy), not through the
     /// client-side store.
     pub fn crash_object(&self, shard: usize, id: ObjectId) {
-        match &mut *self.inner.shards[shard]
-            .cluster
-            .write()
-            .expect("cluster lock")
-        {
+        match &self.inner.shards[shard].cluster {
             Backend::Local(cluster) => cluster.crash_object(id),
             Backend::Remote(_) => {
                 panic!("crash_object on remote shard {shard}: inject the fault server-side")
@@ -464,15 +458,11 @@ impl ShardedKvStore {
     }
 
     /// Kill one object of one **locally spawned** shard and restart it
-    /// from disk: the worker is crashed (joining its thread), the object's
-    /// snapshot + WAL are recovered, and a fresh worker takes over the id.
-    /// The shard's cluster lock is held only for the kill and for
-    /// installing the recovered worker — the disk recovery itself runs
-    /// unlocked, so the rest of the shard serves traffic throughout (the
-    /// slot is simply "crashed" for that window). Returns the wall-clock
+    /// from disk (see [`restart_from_disk`]). The rest of the shard
+    /// serves traffic throughout; the object is simply "crashed" while
+    /// its snapshot + WAL are recovered. Returns the wall-clock
     /// kill-to-serving-again time (the "time to recover" the `exp t8`
-    /// bench reports); note it includes waiting out in-flight pumps for
-    /// the two brief lock acquisitions.
+    /// bench reports).
     ///
     /// A restarted object vouches for everything it acked before the kill
     /// (the WAL is written before the ack), so it rejoins its quorum as a
@@ -490,45 +480,55 @@ impl ShardedKvStore {
     /// fault budget); recovery I/O and corruption errors otherwise (the
     /// object is left crashed in that case).
     pub fn restart_object(&self, shard: usize, id: ObjectId) -> Result<Duration> {
-        if !self.inner.durability.recoverable() {
-            return Err(Error::InvariantViolation {
-                detail: format!(
-                    "restart_object on shard {shard}: durability '{}' cannot recover state \
-                     (spawn the store with a wal-backed config)",
-                    self.inner.durability.label()
-                ),
-            });
+        match &self.inner.shards[shard].cluster {
+            Backend::Local(cluster) => restart_from_disk(
+                self.inner.durability.as_ref(),
+                shard,
+                id,
+                || cluster.crash_object(id),
+                |behavior| cluster.restart_object(id, behavior),
+            ),
+            Backend::Remote(_) => Err(Error::InvariantViolation {
+                detail: format!("restart_object on remote shard {shard}: restart at the server"),
+            }),
         }
-        let started = Instant::now();
-        // Phase 1 (locked): kill the worker. Joining it closes the old
-        // behavior's files, so recovery below reads a quiescent log.
-        match &mut *self.inner.shards[shard]
-            .cluster
-            .write()
-            .expect("cluster lock")
-        {
-            Backend::Local(cluster) => cluster.crash_object(id),
-            Backend::Remote(_) => {
-                return Err(Error::InvariantViolation {
-                    detail: format!(
-                        "restart_object on remote shard {shard}: restart at the server"
-                    ),
-                })
-            }
-        }
-        // Phase 2 (unlocked): recover from disk while the shard serves.
-        let (behavior, _stats) = self.inner.durability.for_shard(shard).object(id)?;
-        // Phase 3 (locked): install the recovered worker.
-        match &mut *self.inner.shards[shard]
-            .cluster
-            .write()
-            .expect("cluster lock")
-        {
-            Backend::Local(cluster) => cluster.restart_object(id, behavior),
-            Backend::Remote(_) => unreachable!("backend kind checked in phase 1"),
-        }
-        Ok(started.elapsed())
     }
+}
+
+/// Kill one object of `shard` and bring it back from disk — the one
+/// sequence behind [`ShardedKvStore::restart_object`] and the socket
+/// deployment's restart: refuse unless `durability` can recover state,
+/// `crash` the object (dropping its behavior closes its files, so
+/// recovery reads a quiescent log), recover it from the shard's snapshot
+/// and WAL, and `restart` it with the recovered behavior. Returns the
+/// wall-clock kill-to-serving-again time.
+///
+/// # Errors
+///
+/// [`Error::InvariantViolation`] if `durability` is not recoverable;
+/// recovery I/O and corruption errors otherwise (the object is left
+/// crashed in that case).
+pub fn restart_from_disk(
+    durability: &dyn Durability,
+    shard: usize,
+    id: ObjectId,
+    crash: impl FnOnce(),
+    restart: impl FnOnce(Box<dyn ObjectBehavior<Req, Rep> + Send>),
+) -> Result<Duration> {
+    if !durability.recoverable() {
+        return Err(Error::InvariantViolation {
+            detail: format!(
+                "restart_object on shard {shard}: durability '{}' cannot recover state \
+                 (deploy with a wal-backed config)",
+                durability.label()
+            ),
+        });
+    }
+    let started = Instant::now();
+    crash();
+    let (behavior, _stats) = durability.for_shard(shard).object(id)?;
+    restart(behavior);
+    Ok(started.elapsed())
 }
 
 /// The key directory's durable append handle (WAL-backed stores only).
@@ -769,33 +769,16 @@ impl KvHandle {
     /// the ready queue — blocking until at least one in-flight operation
     /// resolves, or (`blocking = false`) only as far as already-queued
     /// replies allow. No-op if nothing is in flight.
-    ///
-    /// Only the shards with in-flight operations are read-locked — a
-    /// handle waiting out a quorum-less shard's timeout must not block
-    /// `crash_object` (or anyone else needing the write lock) on healthy,
-    /// uninvolved shards.
     fn pump_with(&mut self, blocking: bool) {
         if self.pending.is_empty() {
             return;
         }
-        let mut used = vec![false; self.inner.shards.len()];
-        for p in self.pending.values() {
-            used[p.shard] = true;
-        }
-        let guards: Vec<_> = self
-            .inner
-            .shards
-            .iter()
-            .zip(&used)
-            .map(|(s, used)| used.then(|| s.cluster.read().expect("cluster lock")))
-            .collect();
-        let clusters: Vec<Option<&Backend>> = guards.iter().map(|g| g.as_deref()).collect();
+        let clusters: Vec<&Backend> = self.inner.shards.iter().map(|s| &s.cluster).collect();
         let results = if blocking {
             self.client.pump(&clusters)
         } else {
             self.client.try_pump(&clusters)
         };
-        drop(guards);
         self.resolve_results(results);
     }
 
@@ -1658,6 +1641,46 @@ mod tests {
         assert_eq!(results.len(), 1);
         // Quiet again: blocking calls work.
         assert_eq!(h.get("a").unwrap(), Some(Value::from_u64(1)));
+    }
+
+    /// Fault injection never queues behind a handle: `crash_object`
+    /// returns at once while another handle sits out a quorum-less
+    /// shard's op timeout in its pump.
+    #[test]
+    fn crash_object_does_not_wait_for_a_blocked_handle() {
+        const OP_TIMEOUT: Duration = Duration::from_secs(3);
+        let store = ShardedKvStore::spawn(StoreConfig::new(1, 1, 2)).unwrap();
+        store
+            .handle(0)
+            .unwrap()
+            .put("k", Value::from_u64(1))
+            .unwrap();
+        store.crash_object(0, ObjectId(2));
+        store.crash_object(0, ObjectId(3));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let blocked = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                let mut h = store.handle(1).unwrap();
+                h.set_timeout(OP_TIMEOUT);
+                started_tx.send(()).unwrap();
+                h.get("k")
+            })
+        };
+        started_rx.recv().unwrap();
+        // Let the get reach its blocking pump.
+        std::thread::sleep(Duration::from_millis(200));
+        let t0 = Instant::now();
+        store.crash_object(0, ObjectId(1));
+        let took = t0.elapsed();
+        assert!(
+            took < OP_TIMEOUT / 6,
+            "crash_object waited {took:?} behind a blocked handle"
+        );
+        assert!(matches!(
+            blocked.join().unwrap(),
+            Err(Error::Incomplete { .. })
+        ));
     }
 
     #[test]

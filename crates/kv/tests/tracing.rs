@@ -4,7 +4,7 @@
 //!
 //! The cluster runs `t = 0` (a single object per shard) on purpose:
 //! with one object every reply is needed for a quorum, so every
-//! `obj.apply` lands in the trace buffer *before* the driver completes
+//! `server.apply` lands in the trace buffer *before* the driver completes
 //! the op — exact span counts instead of racy quorum stragglers. The
 //! recorder is configured with threshold 0 (capture every finished
 //! trace) and stride 1 (trace every op), so the test is deterministic
@@ -28,7 +28,7 @@ fn named<'a>(t: &'a CapturedTrace, name: &str) -> Vec<&'a trace::Span> {
 
 /// Assert the protocol-shaped span tree every in-memory op must have:
 /// one `driver.op` umbrella whose detail (the round count) matches the
-/// `driver.round` spans, one `obj.apply` per round (single object), and
+/// `driver.round` spans, one `server.apply` per round (single object), and
 /// one closing `kv.op` recorded last at the harvest seam.
 fn assert_op_shape(t: &CapturedTrace, expect_kind: u64) {
     assert_eq!(t.dropped, 0, "trace {:#x} dropped spans", t.trace);
@@ -50,11 +50,11 @@ fn assert_op_shape(t: &CapturedTrace, expect_kind: u64) {
 
     // One object (t = 0) applies every round exactly once, and each
     // apply is recorded before the driver can see that round's reply.
-    let applies = named(t, span::OBJ_APPLY);
+    let applies = named(t, span::SERVER_APPLY);
     assert_eq!(
         applies.len(),
         rounds.len(),
-        "trace {:#x}: one obj.apply per round",
+        "trace {:#x}: one server.apply per round",
         t.trace
     );
 
@@ -140,14 +140,14 @@ fn pipelined_batch_produces_protocol_shaped_span_trees() {
         assert_op_shape(t, 0);
         // The commit round mutates durable state, so at least one
         // wal.append hangs under this trace via the thread-local trace
-        // context — and every append lands before its obj.apply closes.
+        // context — and every append lands before its server.apply closes.
         let appends = named(t, span::WAL_APPEND);
         assert!(
             !appends.is_empty(),
             "trace {:#x}: durable put logged no wal.append span",
             t.trace
         );
-        let last_apply_end = named(t, span::OBJ_APPLY).last().unwrap().end_us;
+        let last_apply_end = named(t, span::SERVER_APPLY).last().unwrap().end_us;
         for a in appends {
             assert!(
                 a.end_us <= last_apply_end,

@@ -133,6 +133,7 @@ impl ClientState {
                 .map(|f| RepFrame {
                     op_nonce: f.op_nonce,
                     round: f.round,
+                    trace: f.trace,
                     payload: f.rep,
                 })
                 .collect(),

@@ -18,7 +18,7 @@ use rastor_common::{ClusterConfig, Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_core::object::HonestObject;
 use rastor_core::StorageSystem;
-use rastor_kv::{ShardedKvStore, StoreConfig};
+use rastor_kv::{restart_from_disk, ShardedKvStore, StoreConfig};
 use rastor_sim::runtime::Transport;
 use rastor_sim::ObjectBehavior;
 use rastor_store::Durability;
@@ -291,7 +291,7 @@ impl NetKv {
     /// # Errors
     ///
     /// [`Error::InvariantViolation`] if `shard` or `id` is out of range.
-    pub fn crash_object(&mut self, shard: usize, id: ObjectId) -> Result<()> {
+    pub fn crash_object(&self, shard: usize, id: ObjectId) -> Result<()> {
         let idx = self.hosting_server(shard, id)?;
         self.servers[idx].crash_object(id);
         Ok(())
@@ -299,30 +299,23 @@ impl NetKv {
 
     /// Kill one hosted object of one shard's server and restart it from
     /// disk while clients stay connected — the socket twin of
-    /// [`ShardedKvStore::restart_object`]. Returns the wall-clock
-    /// kill-to-serving-again time.
+    /// [`ShardedKvStore::restart_object`], through the same
+    /// [`restart_from_disk`]. Returns the wall-clock kill-to-serving-again
+    /// time.
     ///
     /// # Errors
     ///
     /// [`Error::InvariantViolation`] if the deployment's durability is not
-    /// recoverable (spawn with a wal-backed [`StoreConfig`]); recovery I/O
-    /// and corruption errors otherwise.
-    ///
-    pub fn restart_object(&mut self, shard: usize, id: ObjectId) -> Result<Duration> {
-        if !self.durability.recoverable() {
-            return Err(Error::InvariantViolation {
-                detail: format!(
-                    "restart_object on shard {shard}: durability '{}' cannot recover state \
-                     (spawn the deployment with a wal-backed config)",
-                    self.durability.label()
-                ),
-            });
-        }
-        let idx = self.hosting_server(shard, id)?;
-        let started = std::time::Instant::now();
-        self.servers[idx].crash_object(id);
-        let (behavior, _stats) = self.durability.for_shard(shard).object(id)?;
-        self.servers[idx].restart_object(id, behavior);
-        Ok(started.elapsed())
+    /// recoverable (spawn with a wal-backed [`StoreConfig`]) or `shard` or
+    /// `id` is out of range; recovery I/O and corruption errors otherwise.
+    pub fn restart_object(&self, shard: usize, id: ObjectId) -> Result<Duration> {
+        let server = &self.servers[self.hosting_server(shard, id)?];
+        restart_from_disk(
+            self.durability.as_ref(),
+            shard,
+            id,
+            || server.crash_object(id),
+            |behavior| server.restart_object(id, behavior),
+        )
     }
 }

@@ -18,8 +18,9 @@
 //!   handler on this loop.
 //! * [`server`] / [`client`] — the socket substrate.
 //!   [`ObjectServer`] hosts one or more storage objects behind a listener
-//!   (same behaviors, jitter, and crash semantics as
-//!   [`rastor_sim::runtime::ThreadCluster`]); [`NetCluster`] is the client
+//!   (on the same [`rastor_sim::host::ObjectHost`] as
+//!   [`rastor_sim::runtime::ThreadCluster`], so behaviors, jitter, and
+//!   crash semantics are identical); [`NetCluster`] is the client
 //!   endpoint, implementing the same
 //!   [`Transport`](rastor_sim::runtime::Transport) trait as the in-process
 //!   channel substrate, so [`rastor_sim::runtime::ThreadClient`], the

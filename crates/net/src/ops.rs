@@ -350,7 +350,7 @@ impl OpsServer {
 /// Execute one admin command against the deployment; remote input, so
 /// every failure is an `ok:false` outcome, never a panic.
 fn run_admin(kv: &Arc<Mutex<NetKv>>, cmd: AdminCmd) -> AdminOutcome {
-    let mut kv = kv.lock().expect("deployment lock");
+    let kv = kv.lock().expect("deployment lock");
     match cmd {
         AdminCmd::RestartObject { shard, object } => {
             let shard = shard as usize;

@@ -1,46 +1,43 @@
 //! [`ObjectServer`]: a TCP listener hosting one or more storage objects.
 //!
-//! The server is the socket twin of
-//! [`rastor_sim::runtime::ThreadCluster`], rebuilt on the
-//! [`crate::reactor`]: all connections and all hosted objects are served
-//! by one small fixed pool — [`crate::reactor::DEFAULT_WORKERS`] reactor
-//! threads for frame I/O plus [`EXECUTORS`] executor threads for object
-//! work — so thread count is O(workers), independent of how many objects
-//! the server hosts or how many connections are open.
+//! The server is the [`crate::reactor`] in front of the same
+//! [`rastor_sim::host::ObjectHost`] that serves the in-process
+//! [`rastor_sim::runtime::ThreadCluster`]: the reactor decodes request
+//! envelopes and hands them to the host, and the host's replies go back
+//! through a [`ConnHandle`] sink that encodes them as [`RepEnvelope`]s on
+//! the connection the request came in on, tagged with the requesting
+//! client so one connection can be shared by many clients. All
+//! connections and all hosted objects are served by two small fixed
+//! pools — [`crate::reactor::DEFAULT_WORKERS`] reactor threads for frame
+//! I/O plus the host's [`EXECUTORS`] executor threads for object work —
+//! so thread count is independent of how many objects the server hosts or
+//! how many connections are open.
 //!
-//! Semantics are unchanged from the thread-per-object version: each
-//! hosted object processes envelopes serially and in arrival order (a
-//! per-object FIFO queue drained by one executor at a time), optional
-//! per-envelope service jitter delays an envelope's *release* to the
-//! executors (modelled as a timer, so in-band status queries stay
-//! responsive while objects are "busy"), and
-//! [`ObjectServer::crash_object`] drops the behavior so queued and future
-//! requests to that object vanish. Reply envelopes go back on the
-//! connection the request came in on, tagged with the requesting client
-//! so one connection can be shared by many clients.
+//! Object semantics are the host's: serial FIFO processing per object,
+//! per-envelope service jitter as a release timer (so in-band status
+//! queries stay responsive while objects are "busy"), and
+//! [`ObjectServer::crash_object`] letting the envelope in flight finish
+//! before queued and future requests to the object vanish.
 //!
 //! Objects carry **cluster-global** ids `first_id ..`, so a logical
 //! cluster may be split across several servers (each hosting a slice of
 //! the object range) and clients see one consistent id space.
 
 use crate::reactor::{ConnHandle, Events, Reactor, ReactorHandle};
-use crate::wire::{self, Frame, ObjectStatus, RepEnvelope, WireRepFrame, WireReqFrame};
-use rastor_common::{ClientId, Error, ObjectId, Result, SplitMix64};
+use crate::wire::{self, Frame, ObjectStatus, RepEnvelope, WireRepFrame};
+use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, trace, Counter, Registry};
+use rastor_sim::host::{ObjectHost, ReplySink};
+use rastor_sim::runtime::{RepFrame, ReqFrame};
 use rastor_sim::ObjectBehavior;
-use std::collections::{BinaryHeap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-/// Executor threads per server: the pool that runs object behaviors
-/// (including their durability I/O), decoupled from the reactor threads
-/// that move frames. Fixed — more objects or connections never mean more
-/// threads.
-pub const EXECUTORS: usize = 2;
+/// Executor threads per server: the object host's pool, decoupled from
+/// the reactor threads that move frames.
+pub use rastor_sim::host::EXECUTORS;
 
 /// The `net.*` seam handles, resolved once per process (servers and
 /// connections come and go; the counters accumulate across all of them).
@@ -69,187 +66,57 @@ fn net_metrics() -> &'static NetMetrics {
     })
 }
 
-/// One coalesced request envelope, queued for one hosted object.
-struct Job {
-    client: ClientId,
-    /// Decoded once per envelope, shared across the object fan-out.
-    frames: Arc<Vec<WireReqFrame>>,
-    /// The requesting connection, for the reply envelope.
-    conn: ConnHandle,
-    /// When the envelope left the reactor (trace clock µs; 0 when no
-    /// frame in the envelope is traced) — start of the `server.queue`
-    /// span.
-    enqueued_us: u64,
-}
-
-/// One hosted object's serving state.
-struct ObjSlot {
-    /// `None` = crashed. An executor holds this lock exactly while
-    /// processing one envelope, so `crash_object` (which takes it to set
-    /// `None`) waits out the envelope in flight — the same "finish the
-    /// current job, then die" the worker-thread version had.
-    behavior: Mutex<Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>>,
-    /// Request envelopes served since (re)start, for [`Frame::Status`].
-    served: AtomicU64,
-    /// Released envelopes awaiting an executor, in arrival order.
-    queue: Mutex<VecDeque<Job>>,
-    /// Whether the object is on the run queue or being drained — one
-    /// executor at a time per object keeps processing serial and FIFO.
-    scheduled: AtomicBool,
-    /// Jitter bookkeeping: when the object's service "pipe" frees up, and
-    /// the object's deterministic jitter stream.
-    busy: Mutex<(Instant, SplitMix64)>,
-}
-
-/// A jitter-delayed envelope waiting for its release time.
-struct TimedJob {
-    at: Instant,
-    seq: u64,
-    obj: usize,
-    job: Job,
-}
-
-impl PartialEq for TimedJob {
-    fn eq(&self, other: &TimedJob) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimedJob {}
-impl PartialOrd for TimedJob {
-    fn partial_cmp(&self, other: &TimedJob) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimedJob {
-    fn cmp(&self, other: &TimedJob) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest release pops
-        // first (seq breaks ties FIFO).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The server's [`Events`] handler plus the executor-pool state.
-struct ServerState {
-    first_id: u32,
-    jitter: Option<Duration>,
-    slots: Vec<ObjSlot>,
-    /// Object indices with released work, drained by the executor pool.
-    runq: Mutex<VecDeque<usize>>,
-    runq_cv: Condvar,
-    /// Jitter-delayed envelopes, released by the executor pool (NOT the
-    /// reactor: sub-millisecond release deadlines would force the
-    /// readiness loop into zero-timeout polls over the whole — possibly
-    /// thousands-deep — connection set; a condvar `wait_timeout` on the
-    /// execution plane keeps the I/O plane parked until real readiness).
-    timers: Mutex<BinaryHeap<TimedJob>>,
-    timer_seq: AtomicU64,
-    /// Bumped under the `runq` lock on every timer push, so an executor
-    /// that computed its wait deadline before the push notices the new
-    /// (possibly earlier) timer instead of oversleeping it.
-    timer_epoch: AtomicU64,
-    shutdown: AtomicBool,
-}
-
-impl ServerState {
-    fn object_statuses(&self) -> Vec<ObjectStatus> {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ObjectStatus {
-                id: ObjectId(self.first_id + i as u32),
-                crashed: s.behavior.lock().expect("behavior lock").is_none(),
-                served: s.served.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Put `obj` on the run queue unless an executor already owns it.
-    fn enqueue_run(&self, obj: usize) {
-        if self.slots[obj]
-            .scheduled
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.runq.lock().expect("run queue lock").push_back(obj);
-            self.runq_cv.notify_one();
-        }
-    }
-
-    /// Queue one envelope for every hosted object, through the jitter
-    /// timer when the server runs with service delay.
-    fn fan_out(&self, client: ClientId, frames: Arc<Vec<WireReqFrame>>, conn: &ConnHandle) {
-        let now = Instant::now();
-        // One clock read per envelope, skipped entirely when untraced.
-        let enqueued_us = if frames.iter().any(|f| f.trace != trace::NO_TRACE) {
-            trace::epoch_us()
-        } else {
-            0
-        };
-        for (i, slot) in self.slots.iter().enumerate() {
-            let job = Job {
-                client,
-                frames: Arc::clone(&frames),
-                conn: conn.clone(),
-                enqueued_us,
-            };
-            match self.jitter {
-                Some(j) => {
-                    // The object serves envelopes one at a time, each
-                    // taking a random slice of `jitter` — the same queueing
-                    // model the worker-thread version got from sleeping in
-                    // its loop, kept off the executors so a "busy" object
-                    // never blocks a thread.
-                    let mut busy = slot.busy.lock().expect("busy lock");
-                    let start = busy.0.max(now);
-                    let release = start + j.mul_f64(busy.1.next_f64());
-                    busy.0 = release;
-                    drop(busy);
-                    self.timers.lock().expect("timer lock").push(TimedJob {
-                        at: release,
-                        seq: self.timer_seq.fetch_add(1, Ordering::Relaxed),
-                        obj: i,
-                        job,
-                    });
-                    // Epoch bump + notify under the runq lock: an
-                    // executor re-checks the epoch under the same lock
-                    // before parking, so this wakeup cannot be lost.
-                    let _runq = self.runq.lock().expect("run queue lock");
-                    self.timer_epoch.fetch_add(1, Ordering::Release);
-                    self.runq_cv.notify_one();
-                }
-                None => {
-                    slot.queue.lock().expect("object queue lock").push_back(job);
-                    self.enqueue_run(i);
-                }
+/// The reply sink of a served envelope: the requesting connection.
+/// Each traced frame's server-side work is closed (`finish`) here —
+/// server-side slow-op capture judges envelopes, not whole client ops.
+/// (The in-process sink must not do this: there the trace is the
+/// client's own, still open.)
+impl ReplySink<Rep> for ConnHandle {
+    fn deliver(&self, from: ObjectId, to: ClientId, frames: Vec<RepFrame<Rep>>) {
+        if frames.iter().any(|f| f.trace != trace::NO_TRACE) {
+            let end = trace::epoch_us();
+            for f in &frames {
+                trace::global().finish(f.trace, end);
             }
         }
-    }
-
-    /// Reply on a connection, counting the frame out.
-    fn reply(&self, conn: &ConnHandle, frame: &Frame) {
-        if conn.send(wire::encode_frame(frame)) {
-            net_metrics().frames_out.inc();
-        }
-    }
-
-    /// Release every due jitter timer onto its object queue; returns the
-    /// next release deadline, if any timers remain.
-    fn flush_timers(&self, now: Instant) -> Option<Instant> {
-        let mut timers = self.timers.lock().expect("timer lock");
-        while timers.peek().is_some_and(|t| t.at <= now) {
-            let t = timers.pop().expect("peeked");
-            self.slots[t.obj]
-                .queue
-                .lock()
-                .expect("object queue lock")
-                .push_back(t.job);
-            self.enqueue_run(t.obj);
-        }
-        timers.peek().map(|t| t.at)
+        let frames = frames
+            .into_iter()
+            .map(|f| WireRepFrame {
+                op_nonce: f.op_nonce,
+                round: f.round,
+                trace: f.trace,
+                rep: f.payload,
+            })
+            .collect();
+        reply(self, &Frame::Rep(RepEnvelope { to, from, frames }));
     }
 }
 
-impl Events for ServerState {
+/// Reply on a connection, counting the frame out.
+fn reply(conn: &ConnHandle, frame: &Frame) {
+    if conn.send(wire::encode_frame(frame)) {
+        net_metrics().frames_out.inc();
+    }
+}
+
+/// The hosted objects, replying on the requesting connection.
+type Host = ObjectHost<Req, Rep, ConnHandle>;
+
+fn object_statuses(host: &Host) -> Vec<ObjectStatus> {
+    let first = host.first_id();
+    (first..first + host.num_objects() as u32)
+        .map(ObjectId)
+        .map(|id| ObjectStatus {
+            id,
+            crashed: host.is_crashed(id),
+            served: host.served(id),
+        })
+        .collect()
+}
+
+/// The server's frame handler: request envelopes go to the object host,
+/// the ops plane is answered in-band.
+impl Events for Host {
     fn on_frame(&self, conn: &ConnHandle, raw: &[u8]) {
         if wire::raw_version(raw) != wire::WIRE_VERSION {
             // The framing layer admitted the foreign frame whole, so the
@@ -258,7 +125,7 @@ impl Events for ServerState {
             // multiplexed client can attribute the refusal — and keep
             // serving the connection.
             net_metrics().version_mismatches.inc();
-            self.reply(
+            reply(
                 conn,
                 &Frame::VersionMismatch {
                     got: wire::raw_version(raw),
@@ -278,23 +145,33 @@ impl Events for ServerState {
         match frame {
             Frame::Req(env) => {
                 net_metrics().frames_in.inc();
-                self.fan_out(env.from, Arc::new(env.frames), conn);
+                let frames: Arc<[ReqFrame<Req>]> = env
+                    .frames
+                    .into_iter()
+                    .map(|f| ReqFrame {
+                        op_nonce: f.op_nonce,
+                        round: f.round,
+                        trace: f.trace,
+                        payload: Arc::new(f.req),
+                    })
+                    .collect();
+                self.submit(env.from, frames, conn);
             }
             // The ops plane, answered in-band so control replies
             // interleave with (never reorder within) the data stream.
             Frame::StatusReq { corr } => {
                 net_metrics().status_queries.inc();
-                self.reply(
+                reply(
                     conn,
                     &Frame::Status {
                         corr,
-                        objects: self.object_statuses(),
+                        objects: object_statuses(self),
                     },
                 );
             }
             Frame::MetricsReq { corr } => {
                 net_metrics().status_queries.inc();
-                self.reply(
+                reply(
                     conn,
                     &Frame::Metrics {
                         corr,
@@ -304,7 +181,7 @@ impl Events for ServerState {
             }
             Frame::TraceReq { corr } => {
                 net_metrics().status_queries.inc();
-                self.reply(
+                reply(
                     conn,
                     &Frame::Trace {
                         corr,
@@ -318,13 +195,13 @@ impl Events for ServerState {
                     // Remote input: invalid names are dropped, not fatal.
                     let _ = registry.add_counter(name, *n);
                 }
-                self.reply(conn, &Frame::Ack { corr });
+                reply(conn, &Frame::Ack { corr });
             }
             Frame::AdminReq { corr, .. } => {
                 // Admin verbs act on a whole deployment (durability,
                 // proxies); they belong to the ops listener, not an
                 // object server. Refuse politely instead of hanging up.
-                self.reply(
+                reply(
                     conn,
                     &Frame::AdminRep {
                         corr,
@@ -342,156 +219,25 @@ impl Events for ServerState {
     }
 
     // No `on_tick`: the server keeps no reactor-side timers. Jitter
-    // release runs on the executors (see [`ServerState::flush_timers`]),
-    // so the readiness loop parks until actual socket readiness no
-    // matter how many connections it is watching.
-}
-
-/// One executor's loop: release due jitter timers, claim an object with
-/// released work, drain its queue serially, hand the object back. The
-/// executors own the release timers (condvar `wait_timeout` to the next
-/// deadline) so the reactor never has to spin on sub-millisecond ticks.
-fn executor_loop(state: &ServerState) {
-    loop {
-        let epoch = state.timer_epoch.load(Ordering::Acquire);
-        let next_release = state.flush_timers(Instant::now());
-        let obj = {
-            let mut runq = state.runq.lock().expect("run queue lock");
-            if state.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            match runq.pop_front() {
-                Some(obj) => Some(obj),
-                // Nothing runnable: park until new work (notified), a
-                // fresh timer (epoch bump, checked under this lock), or
-                // the computed release deadline. Then recompute from the
-                // top — a wakeup is a hint, not a claim.
-                None => {
-                    if state.timer_epoch.load(Ordering::Acquire) == epoch {
-                        match next_release {
-                            Some(at) => {
-                                let now = Instant::now();
-                                if at > now {
-                                    let _ = state
-                                        .runq_cv
-                                        .wait_timeout(runq, at - now)
-                                        .expect("run queue condvar");
-                                }
-                            }
-                            None => {
-                                drop(state.runq_cv.wait(runq).expect("run queue condvar"));
-                            }
-                        }
-                    }
-                    None
-                }
-            }
-        };
-        let Some(obj) = obj else { continue };
-        let slot = &state.slots[obj];
-        loop {
-            let job = slot.queue.lock().expect("object queue lock").pop_front();
-            let Some(job) = job else { break };
-            let mut behavior = slot.behavior.lock().expect("behavior lock");
-            // Crashed object: the job vanishes, exactly like a request to
-            // a dead worker.
-            let Some(b) = behavior.as_mut() else { continue };
-            slot.served.fetch_add(1, Ordering::Relaxed);
-            let oid = ObjectId(state.first_id + obj as u32);
-            let dequeued_us = if job.enqueued_us != 0 {
-                trace::epoch_us()
-            } else {
-                0
-            };
-            let frames: Vec<WireRepFrame> = job
-                .frames
-                .iter()
-                .filter_map(|f| {
-                    // Traced frames get a queue span (reactor hand-off to
-                    // executor pickup) and an apply span around the
-                    // behavior, with the thread trace context set so
-                    // durable behaviors hang WAL spans under the same
-                    // trace. Each envelope's server-side work is closed
-                    // (`finish`) right here: server-side slow-op capture
-                    // judges envelopes, not whole client ops.
-                    let rep = if f.trace == trace::NO_TRACE {
-                        let start = trace::epoch_us();
-                        let rep = b.on_request(job.client, &f.req);
-                        net_metrics()
-                            .envelopes_ring
-                            .record(trace::epoch_us().saturating_sub(start));
-                        rep
-                    } else {
-                        let rec = trace::global();
-                        rec.record(
-                            f.trace,
-                            trace::span::SERVER_QUEUE,
-                            u64::from(oid.0),
-                            job.enqueued_us,
-                            dequeued_us,
-                        );
-                        let start = trace::epoch_us();
-                        let prev = trace::set_current(f.trace);
-                        let rep = b.on_request(job.client, &f.req);
-                        trace::set_current(prev);
-                        let end = trace::epoch_us();
-                        rec.record(
-                            f.trace,
-                            trace::span::SERVER_APPLY,
-                            u64::from(oid.0),
-                            start,
-                            end,
-                        );
-                        rec.finish(f.trace, end);
-                        net_metrics()
-                            .envelopes_ring
-                            .record(end.saturating_sub(start));
-                        rep
-                    };
-                    rep.map(|rep| WireRepFrame {
-                        op_nonce: f.op_nonce,
-                        round: f.round,
-                        trace: f.trace,
-                        rep,
-                    })
-                })
-                .collect();
-            drop(behavior);
-            if !frames.is_empty() {
-                state.reply(
-                    &job.conn,
-                    &Frame::Rep(RepEnvelope {
-                        to: job.client,
-                        from: oid,
-                        frames,
-                    }),
-                );
-            }
-        }
-        slot.scheduled.store(false, Ordering::Release);
-        // An envelope may have been released between the drain and the
-        // flag clear; reclaim the object so it is never stranded.
-        if !slot.queue.lock().expect("object queue lock").is_empty() {
-            state.enqueue_run(obj);
-        }
-    }
+    // release runs on the host's executors, so the readiness loop parks
+    // until actual socket readiness no matter how many connections it is
+    // watching.
 }
 
 /// A TCP server hosting a slice of a cluster's storage objects.
 ///
 /// Dropping the server shuts down the listener, every accepted connection
-/// and the worker pool.
+/// and the executor pool.
 pub struct ObjectServer {
     addr: SocketAddr,
-    state: Arc<ServerState>,
+    host: Arc<Host>,
     reactor: Option<Reactor>,
     handle: ReactorHandle,
-    executors: Vec<JoinHandle<()>>,
 }
 
 impl ObjectServer {
     /// Bind a loopback listener and serve `behaviors` from the fixed
-    /// worker pool. Hosted objects take the cluster-global ids `first_id
+    /// thread pools. Hosted objects take the cluster-global ids `first_id
     /// .. first_id + behaviors.len()`. `jitter`, as in
     /// [`rastor_sim::runtime::ThreadCluster::spawn`], adds a random
     /// service delay up to the given duration per envelope per object.
@@ -509,44 +255,15 @@ impl ObjectServer {
         let addr = listener
             .local_addr()
             .map_err(|e| Error::io("reading the bound listener address", &e))?;
-
-        let now = Instant::now();
-        let slots: Vec<ObjSlot> = behaviors
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| ObjSlot {
-                behavior: Mutex::new(Some(b)),
-                served: AtomicU64::new(0),
-                queue: Mutex::new(VecDeque::new()),
-                scheduled: AtomicBool::new(false),
-                busy: Mutex::new((now, SplitMix64::new(u64::from(first_id + i as u32)))),
-            })
-            .collect();
-        let state = Arc::new(ServerState {
-            first_id,
-            jitter,
-            slots,
-            runq: Mutex::new(VecDeque::new()),
-            runq_cv: Condvar::new(),
-            timers: Mutex::new(BinaryHeap::new()),
-            timer_seq: AtomicU64::new(0),
-            timer_epoch: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-        let executors = (0..EXECUTORS)
-            .map(|_| {
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || executor_loop(&state))
-            })
-            .collect();
-        let reactor = Reactor::spawn(Arc::clone(&state) as Arc<dyn Events>, Some(listener))?;
+        let ring = Arc::clone(&net_metrics().envelopes_ring);
+        let host = Arc::new(Host::spawn_at(behaviors, first_id, jitter, Some(ring)));
+        let reactor = Reactor::spawn(Arc::clone(&host) as Arc<dyn Events>, Some(listener))?;
         let handle = reactor.handle();
         Ok(ObjectServer {
             addr,
-            state,
+            host,
             reactor: Some(reactor),
             handle,
-            executors,
         })
     }
 
@@ -557,19 +274,19 @@ impl ObjectServer {
 
     /// Number of hosted objects (including crashed ones).
     pub fn num_objects(&self) -> usize {
-        self.state.slots.len()
+        self.host.num_objects()
     }
 
     /// The first cluster-global object id hosted here.
     pub fn first_id(&self) -> u32 {
-        self.state.first_id
+        self.host.first_id()
     }
 
     /// Threads this server runs, total: reactor workers plus executors.
     /// Fixed at spawn — hosting more objects or accepting more
     /// connections never grows it.
     pub fn thread_count(&self) -> usize {
-        self.reactor.as_ref().map_or(0, Reactor::worker_count) + self.executors.len()
+        self.reactor.as_ref().map_or(0, Reactor::worker_count) + self.host.thread_count()
     }
 
     /// Sever every accepted connection, keeping the listener and the
@@ -581,45 +298,33 @@ impl ObjectServer {
 
     /// Crash a hosted object (by cluster-global id): any envelope it is
     /// processing finishes, then queued and future requests to it are
-    /// silently dropped — the semantics of `ThreadCluster::crash_object`,
-    /// reachable while clients stay connected.
+    /// silently dropped — reachable while clients stay connected (see
+    /// [`ObjectHost::crash_object`]).
     ///
     /// # Panics
     ///
     /// Panics if `id` is not hosted by this server.
-    pub fn crash_object(&mut self, id: ObjectId) {
-        let idx = self.hosted_index(id, "crash_object");
-        *self.state.slots[idx]
-            .behavior
-            .lock()
-            .expect("behavior lock") = None;
+    pub fn crash_object(&self, id: ObjectId) {
+        self.host.crash_object(id);
     }
 
     /// Restart a hosted object (by cluster-global id) with a fresh
-    /// behavior: the old one is crashed first (if still live), then the
-    /// new one takes over the id with the same service-jitter profile —
-    /// connected clients keep talking to the same address and simply see
-    /// the object answering again. Pass a `rastor_store`-recovered durable
-    /// behavior for kill-then-recover semantics.
+    /// behavior: connected clients keep talking to the same address and
+    /// simply see the object answering again. Pass a
+    /// `rastor_store`-recovered durable behavior for kill-then-recover
+    /// semantics (see [`ObjectHost::restart_object`]).
     ///
     /// # Panics
     ///
     /// Panics if `id` is not hosted by this server.
-    pub fn restart_object(
-        &mut self,
-        id: ObjectId,
-        behavior: Box<dyn ObjectBehavior<Req, Rep> + Send>,
-    ) {
-        let idx = self.hosted_index(id, "restart_object");
-        let slot = &self.state.slots[idx];
-        *slot.behavior.lock().expect("behavior lock") = Some(behavior);
-        slot.served.store(0, Ordering::Relaxed);
+    pub fn restart_object(&self, id: ObjectId, behavior: Box<dyn ObjectBehavior<Req, Rep> + Send>) {
+        self.host.restart_object(id, behavior);
     }
 
     /// The status of every hosted object — the same view a
     /// [`Frame::StatusReq`] gets over the wire.
     pub fn object_statuses(&self) -> Vec<ObjectStatus> {
-        self.state.object_statuses()
+        object_statuses(&self.host)
     }
 
     /// Whether a hosted object is currently crashed.
@@ -628,35 +333,14 @@ impl ObjectServer {
     ///
     /// Panics if `id` is not hosted by this server.
     pub fn is_crashed(&self, id: ObjectId) -> bool {
-        let idx = self.hosted_index(id, "is_crashed");
-        self.state.slots[idx]
-            .behavior
-            .lock()
-            .expect("behavior lock")
-            .is_none()
-    }
-
-    fn hosted_index(&self, id: ObjectId, what: &str) -> usize {
-        id.0.checked_sub(self.state.first_id)
-            .map(|i| i as usize)
-            .filter(|&i| i < self.state.slots.len())
-            .unwrap_or_else(|| panic!("{what}: object {} not hosted by this server", id.0))
+        self.host.is_crashed(id)
     }
 }
 
 impl Drop for ObjectServer {
     fn drop(&mut self) {
         // Reactor first: listener and connections close, frame intake
-        // stops. Then the executor pool drains out.
+        // stops. The host's executor pool stops when the host drops.
         self.reactor.take();
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        // Notify under the runq lock so no executor can be between its
-        // shutdown check and its park when the flag flips.
-        let _runq = self.state.runq.lock().expect("run queue lock");
-        self.state.runq_cv.notify_all();
-        drop(_runq);
-        for h in self.executors.drain(..) {
-            let _ = h.join();
-        }
     }
 }

@@ -62,7 +62,7 @@ fn harness_protocols_roundtrip_over_tcp() {
 #[test]
 fn server_side_crashes_respect_the_fault_budget() {
     let mut sys = StorageSystem::new(Protocol::AtomicUnauth, 1, 1).expect("valid shape");
-    let mut harness = sys.spawn_net_cluster(None).expect("net deploy");
+    let harness = sys.spawn_net_cluster(None).expect("net deploy");
     harness.server.crash_object(ObjectId(3));
     let mut client = ThreadClient::new(ClientId::reader(0));
     let out = client.run_op(

@@ -602,14 +602,16 @@ mod tests {
     fn snapshot_json_is_well_formed_under_concurrent_recording() {
         let r = Arc::new(Registry::new());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Register before any writer spawns: the snapshots below must not
+        // depend on a writer thread having been scheduled first.
+        let c = r.counter("w.count");
+        let h = r.histogram("w.lat");
+        let ring = r.ring("w.ring", 8, Duration::from_secs(60));
         let writers: Vec<_> = (0..3)
             .map(|t| {
-                let r = Arc::clone(&r);
+                let (c, h, ring) = (Arc::clone(&c), Arc::clone(&h), Arc::clone(&ring));
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    let c = r.counter("w.count");
-                    let h = r.histogram("w.lat");
-                    let ring = r.ring("w.ring", 8, Duration::from_secs(60));
                     let mut i = 0u64;
                     while !stop.load(Relaxed) {
                         c.inc();

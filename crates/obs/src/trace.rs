@@ -73,12 +73,11 @@ pub mod span {
     pub const DRIVER_ROUND: &str = "driver.round";
     /// Whole kv operation, submit to harvest (detail = 0 put, 1 get).
     pub const KV_OP: &str = "kv.op";
-    /// One object applying one request frame (detail = object id).
-    pub const OBJ_APPLY: &str = "obj.apply";
-    /// Server-side queue wait, reactor dequeue to executor pickup
-    /// (detail = object id).
+    /// Object-host queue wait, envelope submission to executor pickup
+    /// (detail = object id) — on both substrates.
     pub const SERVER_QUEUE: &str = "server.queue";
-    /// Server-side executor applying one envelope (detail = object id).
+    /// Object-host executor applying one request frame (detail = object
+    /// id) — on both substrates.
     pub const SERVER_APPLY: &str = "server.apply";
     /// One WAL record append (detail = record bytes).
     pub const WAL_APPEND: &str = "wal.append";
@@ -489,7 +488,7 @@ mod tests {
     fn live_ring_evicts_the_oldest_open_trace() {
         let r = on();
         for t in 1..=(MAX_LIVE_TRACES as u64 + 3) {
-            r.record(t, span::OBJ_APPLY, 0, t, t + 1);
+            r.record(t, span::SERVER_APPLY, 0, t, t + 1);
         }
         assert_eq!(r.live_traces(), MAX_LIVE_TRACES);
         // Traces 1..=3 were evicted; finishing them captures nothing.
@@ -512,7 +511,7 @@ mod tests {
         let r = on();
         let t = r.next_trace();
         for i in 0..(MAX_SPANS_PER_TRACE as u64 + 5) {
-            r.record(t, span::OBJ_APPLY, i, i, i + 1);
+            r.record(t, span::SERVER_APPLY, i, i, i + 1);
         }
         r.finish(t, 1_000);
         let caps = r.captured();

@@ -28,7 +28,7 @@
 //!   transcripts* (for the indistinguishability arguments at the heart of
 //!   the paper's proofs: two runs are indistinguishable to a reader iff its
 //!   transcripts are identical).
-//! * **Thread runtime** ([`runtime`]): the same [`ObjectBehavior`] and
+//! * **Thread runtime** ([`runtime`], hosted by [`host`]): the same [`ObjectBehavior`] and
 //!   [`RoundClient`] implementations can be deployed over real OS threads and
 //!   channels, demonstrating that the protocols are simulator-independent.
 //!
@@ -76,6 +76,7 @@
 pub mod control;
 pub mod driver;
 pub mod engine;
+pub mod host;
 pub mod runtime;
 pub mod trace;
 
@@ -87,5 +88,6 @@ pub use engine::{
     ClientAction, Completion, Envelope, MsgDir, MsgId, ObjectBehavior, RoundClient, Scheduler, Sim,
     SimConfig,
 };
+pub use host::{ObjectHost, ReplySink, EXECUTORS};
 pub use runtime::{ObjReply, OpResult, RepFrame, ReqFrame, ThreadClient, ThreadCluster, Transport};
 pub use trace::{Observation, OpRecord, Trace};

@@ -1,11 +1,17 @@
-//! A real-thread deployment of the same protocol automata.
+//! A real-time deployment of the same protocol automata.
 //!
 //! The simulator in [`crate::engine`] is the reference substrate (it can
 //! replay adversarial schedules deterministically), but the protocol code is
-//! substrate-independent: this module runs the very same [`ObjectBehavior`]
-//! and [`RoundClient`] implementations over OS threads and channels,
-//! demonstrating that nothing in the protocols depends on simulation
-//! artifacts. Examples use it to exercise realistic concurrency.
+//! substrate-independent: this module runs the very same
+//! [`ObjectBehavior`](crate::ObjectBehavior) and [`RoundClient`]
+//! implementations on OS threads and channels, demonstrating that nothing
+//! in the protocols depends on simulation artifacts. Examples use it to
+//! exercise realistic concurrency.
+//!
+//! Objects are served by the [`crate::host::ObjectHost`] — the one
+//! real-time object host, which `rastor_net`'s TCP server shares: a fixed
+//! executor pool, a FIFO per object, and replies handed straight to each
+//! client's reply channel.
 //!
 //! Operations are driven by the same [`OpDriver`] the simulator uses, so a
 //! [`ThreadClient`] can keep **many operations in flight** over its single
@@ -22,9 +28,9 @@
 //! an automaton ([`StalePolicy::DropLate`]): on a real deployment a delayed
 //! object must not be able to feed protocol code stale-round data.
 //!
-//! Faults available here are crash-style (dropping an object's thread) and
-//! arbitrary behaviors (any [`ObjectBehavior`] impl); scheduling adversaries
-//! are only available in the simulator.
+//! Faults available here are crash/restart of an object and arbitrary
+//! behaviors (any [`ObjectBehavior`](crate::ObjectBehavior) impl);
+//! scheduling adversaries are only available in the simulator.
 //!
 //! The client side is substrate-agnostic: everything a [`ThreadClient`]
 //! needs from a cluster is captured by the [`Transport`] trait (broadcast a
@@ -35,13 +41,13 @@
 //! network.
 
 use crate::driver::{Dispatch, OpDriver, StalePolicy};
-use crate::engine::{ObjectBehavior, RoundClient};
-use rastor_common::{ClientId, ObjectId, OpKind, SplitMix64};
+use crate::engine::RoundClient;
+use crate::host::ObjectHost;
+use rastor_common::{ClientId, ObjectId, OpKind};
 use rastor_obs::trace;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One round of one operation inside a coalesced request envelope. The
@@ -71,20 +77,15 @@ impl<Q> Clone for ReqFrame<Q> {
     }
 }
 
-/// A coalesced request envelope: every frame a client had pending for this
-/// object at flush time.
-struct ObjRequest<Q, R> {
-    from: ClientId,
-    frames: Vec<ReqFrame<Q>>,
-    reply_to: Sender<ObjReply<R>>,
-}
-
 /// One reply frame inside a coalesced reply envelope.
 pub struct RepFrame<R> {
     /// Nonce of the operation the reply belongs to.
     pub op_nonce: u64,
     /// The round the reply answers.
     pub round: u32,
+    /// The trace id of the request frame answered (`trace::NO_TRACE`
+    /// when untraced).
+    pub trace: u64,
     /// The object's reply payload.
     pub payload: R,
 }
@@ -130,153 +131,19 @@ impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for Box<T> {
     }
 }
 
-/// A cluster of storage objects, each running on its own thread.
-pub struct ThreadCluster<Q, R> {
-    senders: Vec<Option<Sender<ObjRequest<Q, R>>>>,
-    handles: Vec<Option<JoinHandle<()>>>,
-    /// The per-envelope service jitter every worker runs with, kept so
-    /// restarted workers behave like their predecessors.
-    jitter: Option<Duration>,
-}
+/// A cluster of storage objects served in-process: the [`ObjectHost`]
+/// with each client's reply channel as the sink.
+pub type ThreadCluster<Q, R> = ObjectHost<Q, R, Sender<ObjReply<R>>>;
 
-/// Spawn one object worker thread: per-envelope jitter, then the
-/// behavior, then one coalesced reply envelope per request envelope.
-fn spawn_worker<Q, R>(
-    oid: ObjectId,
-    mut behavior: Box<dyn ObjectBehavior<Q, R> + Send>,
-    jitter: Option<Duration>,
-) -> (Sender<ObjRequest<Q, R>>, JoinHandle<()>)
+impl<Q, R> Transport<Q, R> for ThreadCluster<Q, R>
 where
     Q: Send + Sync + 'static,
     R: Send + 'static,
 {
-    let (tx, rx) = channel::<ObjRequest<Q, R>>();
-    let handle = std::thread::spawn(move || {
-        // Per-thread deterministic jitter source.
-        let mut rng = SplitMix64::new(u64::from(oid.0));
-        while let Ok(req) = rx.recv() {
-            if let Some(j) = jitter {
-                std::thread::sleep(j.mul_f64(rng.next_f64()));
-            }
-            let frames: Vec<RepFrame<R>> = req
-                .frames
-                .iter()
-                .filter_map(|f| {
-                    // Traced frames get an `obj.apply` span covering the
-                    // behavior call, with the trace context set so durable
-                    // behaviors can hang WAL spans under the same trace.
-                    // Untraced frames skip the clock reads entirely.
-                    let rep = if f.trace == trace::NO_TRACE {
-                        behavior.on_request(req.from, &f.payload)
-                    } else {
-                        let start = trace::epoch_us();
-                        let prev = trace::set_current(f.trace);
-                        let rep = behavior.on_request(req.from, &f.payload);
-                        trace::set_current(prev);
-                        trace::global().record(
-                            f.trace,
-                            trace::span::OBJ_APPLY,
-                            u64::from(oid.0),
-                            start,
-                            trace::epoch_us(),
-                        );
-                        rep
-                    };
-                    rep.map(|payload| RepFrame {
-                        op_nonce: f.op_nonce,
-                        round: f.round,
-                        payload,
-                    })
-                })
-                .collect();
-            if !frames.is_empty() {
-                // The client may have finished; ignore send errors.
-                let _ = req.reply_to.send(ObjReply { from: oid, frames });
-            }
-        }
-    });
-    (tx, handle)
-}
-
-impl<Q, R> ThreadCluster<Q, R>
-where
-    Q: Send + Sync + 'static,
-    R: Send + 'static,
-{
-    /// Spawn one thread per behavior. `jitter` optionally adds a random
-    /// service delay up to the given duration **per envelope** (not per
-    /// frame) — emulating one network/storage round trip per coalesced
-    /// batch, which is exactly why batching pays.
-    pub fn spawn(
-        behaviors: Vec<Box<dyn ObjectBehavior<Q, R> + Send>>,
-        jitter: Option<Duration>,
-    ) -> ThreadCluster<Q, R> {
-        let mut senders = Vec::new();
-        let mut handles = Vec::new();
-        for (i, behavior) in behaviors.into_iter().enumerate() {
-            let (tx, handle) = spawn_worker(ObjectId(i as u32), behavior, jitter);
-            senders.push(Some(tx));
-            handles.push(Some(handle));
-        }
-        ThreadCluster {
-            senders,
-            handles,
-            jitter,
-        }
-    }
-
-    /// Number of objects (including crashed ones).
-    pub fn num_objects(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Whether object `id` is currently crashed.
-    pub fn is_crashed(&self, id: ObjectId) -> bool {
-        self.senders[id.index()].is_none()
-    }
-
-    /// Crash an object: its thread drains and exits; requests to it are
-    /// silently dropped from now on.
-    pub fn crash_object(&mut self, id: ObjectId) {
-        self.senders[id.index()] = None;
-        if let Some(h) = self.handles[id.index()].take() {
-            // The thread exits once its channel disconnects.
-            let _ = h.join();
-        }
-    }
-
-    /// Restart an object with a fresh behavior: the slot is crashed first
-    /// (if still live), then a new worker thread takes over the object id,
-    /// with the same service-jitter profile as the rest of the cluster.
-    ///
-    /// The cluster is behavior-agnostic, so *what state the object comes
-    /// back with* is the caller's policy: pass a freshly recovered
-    /// `rastor_store`-style durable behavior for kill-then-recover
-    /// semantics, or a blank one to model an amnesiac rejoin (which counts
-    /// against the fault budget like any other deviation from "correct").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn restart_object(&mut self, id: ObjectId, behavior: Box<dyn ObjectBehavior<Q, R> + Send>) {
-        self.crash_object(id);
-        let (tx, handle) = spawn_worker(id, behavior, self.jitter);
-        self.senders[id.index()] = Some(tx);
-        self.handles[id.index()] = Some(handle);
-    }
-}
-
-impl<Q, R> Transport<Q, R> for ThreadCluster<Q, R> {
-    /// Broadcast a batch of frames: one envelope per live object, each
-    /// carrying the whole batch (payloads shared via `Arc`).
+    /// Broadcast a batch of frames: one envelope per object, each sharing
+    /// the whole batch.
     fn send_frames(&self, from: ClientId, frames: &[ReqFrame<Q>], reply_to: &Sender<ObjReply<R>>) {
-        for tx in self.senders.iter().flatten() {
-            let _ = tx.send(ObjRequest {
-                from,
-                frames: frames.to_vec(),
-                reply_to: reply_to.clone(),
-            });
-        }
+        self.submit(from, frames.into(), reply_to);
     }
 }
 
@@ -377,12 +244,7 @@ where
 
     /// Flush buffered frames: for each target with pending frames, one
     /// coalesced envelope per live object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pending frame's target entry is `None` — the caller
-    /// promised that target had no in-flight traffic.
-    fn flush<T: Transport<Q, R> + ?Sized>(&mut self, targets: &[Option<&T>]) {
+    fn flush<T: Transport<Q, R> + ?Sized>(&mut self, targets: &[&T]) {
         if self.outbox.is_empty() {
             return;
         }
@@ -392,9 +254,7 @@ where
         }
         for (t, frames) in by_target.into_iter().enumerate() {
             if !frames.is_empty() {
-                targets[t]
-                    .expect("target with pending frames must be supplied")
-                    .send_frames(self.id, &frames, &self.reply_tx);
+                targets[t].send_frames(self.id, &frames, &self.reply_tx);
             }
         }
     }
@@ -454,15 +314,10 @@ where
     /// the next-round frames that produced, and reap overdue deadlines.
     /// Returns whatever resolved, possibly nothing.
     ///
-    /// `targets` is indexed by the `target` passed at submission; entries
-    /// for targets with no in-flight traffic may be `None` (this is what
-    /// lets a multi-cluster caller lock only the clusters it is actually
-    /// using). Targets may be any [`Transport`] substrate — in-process
-    /// [`ThreadCluster`]s and socket-backed clusters drive identically.
-    pub fn try_pump<T: Transport<Q, R> + ?Sized>(
-        &mut self,
-        targets: &[Option<&T>],
-    ) -> Vec<OpResult<Out>> {
+    /// `targets` is indexed by the `target` passed at submission. Targets
+    /// may be any [`Transport`] substrate — in-process [`ThreadCluster`]s
+    /// and socket-backed clusters drive identically.
+    pub fn try_pump<T: Transport<Q, R> + ?Sized>(&mut self, targets: &[&T]) -> Vec<OpResult<Out>> {
         let mut done = Vec::new();
         self.flush(targets);
         // Drain whatever is already queued without blocking, so same-batch
@@ -481,10 +336,7 @@ where
     /// returns an empty vector only when nothing is in flight.
     ///
     /// `targets` is indexed as in [`ThreadClient::try_pump`].
-    pub fn pump<T: Transport<Q, R> + ?Sized>(
-        &mut self,
-        targets: &[Option<&T>],
-    ) -> Vec<OpResult<Out>> {
+    pub fn pump<T: Transport<Q, R> + ?Sized>(&mut self, targets: &[&T]) -> Vec<OpResult<Out>> {
         let mut done = Vec::new();
         loop {
             done.extend(self.try_pump(targets));
@@ -535,7 +387,7 @@ where
             "run_op on a client with pipelined operations in flight"
         );
         let nonce = self.submit_op(0, OpKind::Read, automaton, timeout);
-        let targets = [Some(cluster)];
+        let targets = [cluster];
         loop {
             for r in self.pump(&targets) {
                 if r.nonce == nonce {
@@ -544,19 +396,6 @@ where
             }
             if !self.driver.is_live(nonce) {
                 return None;
-            }
-        }
-    }
-}
-
-impl<Q, R> Drop for ThreadCluster<Q, R> {
-    fn drop(&mut self) {
-        for tx in &mut self.senders {
-            *tx = None;
-        }
-        for h in &mut self.handles {
-            if let Some(h) = h.take() {
-                let _ = h.join();
             }
         }
     }
@@ -611,12 +450,108 @@ mod tests {
     // [`StalePolicy::DropLate`] guard) is shared with the driver's unit
     // tests.
     use crate::driver::StrictRounds;
-    use crate::engine::ClientAction;
+    use crate::engine::{ClientAction, ObjectBehavior};
+    use crate::host::EXECUTORS;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn cluster(n: usize) -> ThreadCluster<u32, u32> {
         let behaviors: Vec<Box<dyn ObjectBehavior<u32, u32> + Send>> =
             (0..n).map(|_| Box::new(Echo) as _).collect();
         ThreadCluster::spawn(behaviors, None)
+    }
+
+    /// Blocks in `on_request` until released, and reports its own drop —
+    /// makes "the envelope in flight" observable.
+    struct Gate {
+        entered: Sender<()>,
+        release: std::sync::Mutex<Receiver<()>>,
+        dropped: Arc<AtomicBool>,
+    }
+    impl ObjectBehavior<u32, u32> for Gate {
+        fn on_request(&mut self, _from: ClientId, req: &u32) -> Option<u32> {
+            let _ = self.entered.send(());
+            let _ = self.release.lock().expect("gate lock").recv();
+            Some(req + 10)
+        }
+    }
+    impl Drop for Gate {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    fn frame(op_nonce: u64) -> ReqFrame<u32> {
+        ReqFrame {
+            op_nonce,
+            round: 1,
+            trace: trace::NO_TRACE,
+            payload: Arc::new(1),
+        }
+    }
+
+    #[test]
+    fn cluster_runs_a_fixed_executor_pool() {
+        // The in-process twin of the server's fixed-thread-count claim:
+        // hosting 16x the objects must not grow the pool, and neither
+        // must serving traffic.
+        let small = cluster(1);
+        let many = cluster(16);
+        assert_eq!(small.thread_count(), EXECUTORS);
+        assert_eq!(many.thread_count(), EXECUTORS);
+        let mut client = ThreadClient::new(ClientId::reader(0));
+        for _ in 0..4 {
+            let res = client.run_op(
+                &many,
+                Box::new(Collect { need: 16, got: 0 }),
+                Duration::from_secs(5),
+            );
+            assert!(res.is_some());
+        }
+        assert_eq!(many.thread_count(), EXECUTORS);
+    }
+
+    #[test]
+    fn crash_lets_the_envelope_in_flight_finish_then_drops_the_behavior() {
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let dropped = Arc::new(AtomicBool::new(false));
+        let gate = Gate {
+            entered: entered_tx,
+            release: std::sync::Mutex::new(release_rx),
+            dropped: Arc::clone(&dropped),
+        };
+        let cl: Arc<ThreadCluster<u32, u32>> =
+            Arc::new(ThreadCluster::spawn(vec![Box::new(gate) as _], None));
+        let (reply_tx, reply_rx) = channel();
+        cl.send_frames(ClientId::reader(0), &[frame(1)], &reply_tx);
+        entered_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the envelope reaches the behavior");
+
+        let crasher = {
+            let cl = Arc::clone(&cl);
+            std::thread::spawn(move || cl.crash_object(ObjectId(0)))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !crasher.is_finished(),
+            "crash waits out the envelope in flight"
+        );
+        assert!(!dropped.load(Ordering::SeqCst));
+
+        release_tx.send(()).expect("release the envelope");
+        crasher.join().expect("crash returns");
+        assert!(dropped.load(Ordering::SeqCst), "crash drops the behavior");
+        assert!(cl.is_crashed(ObjectId(0)));
+        let rep = reply_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the envelope in flight is answered");
+        assert_eq!(rep.frames.len(), 1);
+        assert_eq!(rep.frames[0].payload, 11);
+
+        // Later envelopes vanish.
+        cl.send_frames(ClientId::reader(0), &[frame(2)], &reply_tx);
+        assert!(reply_rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
     #[test]
@@ -636,7 +571,7 @@ mod tests {
 
     #[test]
     fn tolerates_crashed_minority() {
-        let mut cl = cluster(4);
+        let cl = cluster(4);
         cl.crash_object(ObjectId(3));
         let mut client = ThreadClient::new(ClientId::reader(0));
         let res = client.run_op(
@@ -649,7 +584,7 @@ mod tests {
 
     #[test]
     fn times_out_without_quorum() {
-        let mut cl = cluster(3);
+        let cl = cluster(3);
         cl.crash_object(ObjectId(1));
         cl.crash_object(ObjectId(2));
         let mut client = ThreadClient::new(ClientId::reader(0));
@@ -682,7 +617,7 @@ mod tests {
 
     #[test]
     fn restart_revives_a_crashed_slot() {
-        let mut cl = cluster(3);
+        let cl = cluster(3);
         cl.crash_object(ObjectId(1));
         cl.crash_object(ObjectId(2));
         assert!(cl.is_crashed(ObjectId(1)));
@@ -757,7 +692,7 @@ mod tests {
     #[test]
     fn pipelined_ops_multiplex_one_channel() {
         let cl = cluster(4);
-        let targets = [Some(&cl)];
+        let targets = [&cl];
         let mut client: ThreadClient<u32, u32, u32> = ThreadClient::new(ClientId::reader(0));
         let mut live: Vec<u64> = (0..8)
             .map(|_| {
@@ -784,10 +719,10 @@ mod tests {
 
     #[test]
     fn pipelined_timeouts_are_reported_per_op() {
-        let mut cl = cluster(3);
+        let cl = cluster(3);
         cl.crash_object(ObjectId(1));
         cl.crash_object(ObjectId(2));
-        let targets = [Some(&cl)];
+        let targets = [&cl];
         let mut client: ThreadClient<u32, u32, u32> = ThreadClient::new(ClientId::reader(0));
         // One op that can complete on the lone survivor, one that cannot.
         let ok = client.submit_op(

@@ -18,9 +18,9 @@
 //!   (today's behavior: kill = permanent crash) and [`WalBacked`]
 //!   (kill-then-recover) implementations. Cluster substrates
 //!   (`rastor_sim::runtime::ThreadCluster`, `rastor_net`'s
-//!   `ObjectServer`) take these via their owners' configs and gain
-//!   `restart_object` — crash an object, then bring it back from disk
-//!   with its timestamps intact.
+//!   `ObjectServer`, both on `rastor_sim::host::ObjectHost`) take these
+//!   via their owners' configs and gain `restart_object` — crash an
+//!   object, then bring it back from disk with its timestamps intact.
 //!
 //! The recovery invariants — why a restarted object may rejoin its quorum
 //! as *correct* rather than Byzantine — are spelled out on
